@@ -63,10 +63,24 @@ def estimate_records_bytes(records, sample_limit: int = 10) -> float:
     if not isinstance(records, (list, tuple)):
         records = list(records)
     count = len(records)
+    sample = [records[i] for i in sample_positions(count, sample_limit)]
+    return estimate_sample_bytes(sample, count, sample_limit)
+
+
+def sample_positions(count: int, sample_limit: int = 10) -> range:
+    """Positions of the records :func:`estimate_records_bytes` reads."""
+    if count <= sample_limit:
+        return range(count)
+    return range(0, count, max(1, count // sample_limit))
+
+
+def estimate_sample_bytes(sample: list, count: int, sample_limit: int = 10) -> float:
+    """Bytes of ``count`` records, given the records at
+    :func:`sample_positions` -- for stores that keep records in another
+    form and materialize only the sampled ones."""
     if count == 0:
         return 0.0
+    sampled = sum(estimate_bytes(r) for r in sample)
     if count <= sample_limit:
-        return float(sum(estimate_bytes(r) for r in records))
-    sampled = sum(estimate_bytes(records[i]) for i in range(0, count, max(1, count // sample_limit)))
-    samples = len(range(0, count, max(1, count // sample_limit)))
-    return float(sampled / samples * count)
+        return float(sampled)
+    return float(sampled / len(sample) * count)

@@ -3,9 +3,11 @@
 The tracer charges the *simulated* platforms for record-at-a-time
 execution no matter what; this switch only controls whether the host
 process is allowed to memoize partition results within an action and to
-run vectorized batch kernels.  Cost events are required to be
-byte-identical either way (see tests/test_fastpath_golden.py), so the
-default is on.  Set ``REPRO_FAST_PATH=0`` to force the scalar path.
+run vectorized batch kernels.  In the SimSQL engine it gates only the
+VG functions' ``invoke_batch``: the relational executor is columnar
+under either setting.  Cost events are required to be byte-identical
+either way (see tests/test_fastpath_golden.py), so the default is on.
+Set ``REPRO_FAST_PATH=0`` to force the scalar path.
 """
 
 from __future__ import annotations

@@ -316,10 +316,12 @@ class SimSQLLDAWord(_SimSQLLDABase):
             prev = Scan(versioned("z", i - 1))
             cell = project(prev, ("cell_id", "cell_id"), ("word", "word"))
             # The data-sized fan-out: theta joined to every word cell.
+            # theta's own topic: the join renames it ``topic_r`` because
+            # z carries the cell's current ``topic``.
             theta_rows = project(
                 Join(prev, Scan(versioned("theta", i - 1)),
                      predicate=col("doc_id") == col("doc_id"), out_scale="data"),
-                ("cell_id", "cell_id"), ("topic", "topic"), ("p", "prob"),
+                ("cell_id", "cell_id"), ("topic", "topic_r"), ("p", "prob"),
             )
             vg = VGOp(
                 LDAWordVG(rng, self.topics, self.vocabulary), {

@@ -25,10 +25,16 @@ from repro.stats.mvn import ROW_STABLE_MAX_DIM
 
 
 def _rows_to_vector(rows: list[tuple]) -> np.ndarray:
-    """(index, value) rows -> dense vector (indices must be 0..n-1)."""
-    out = np.empty(len(rows))
+    """(index, value) rows -> dense vector; the indices must be 0..n-1.
+
+    An index left unset would otherwise carry whatever the allocator
+    left there, and draws made from it would depend on memory history.
+    """
+    out = np.full(len(rows), np.nan)
     for index, value in rows:
         out[int(index)] = value
+    if np.isnan(out).any():
+        raise ValueError(f"(index, value) rows do not cover 0..{len(rows) - 1}")
     return out
 
 
@@ -41,17 +47,21 @@ def _rows_to_matrix(rows: list[tuple], dim: int) -> np.ndarray:
 
 
 class _ModelCache:
-    """One-slot parse cache keyed on the parameter rows' identity."""
+    """One-slot parse cache keyed on the parameter rows' identity.
+
+    The cache holds the rows object itself: a bare ``id`` could be
+    reused by the next call's freshly allocated row list, which would
+    then hit the previous iteration's parsed model.
+    """
 
     def __init__(self) -> None:
         self._key = None
         self._value = None
 
     def get(self, key_obj, build):
-        key = id(key_obj)
-        if self._key != key:
+        if self._key is not key_obj:
             self._value = build()
-            self._key = key
+            self._key = key_obj
         return self._value
 
 

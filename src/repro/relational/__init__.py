@@ -12,6 +12,7 @@ from repro.relational.plan import (
     Join,
     Plan,
     Project,
+    RenameColumns,
     Scan,
     Select,
     Union,
@@ -46,6 +47,7 @@ __all__ = [
     "Plan",
     "Project",
     "RandomTable",
+    "RenameColumns",
     "Scan",
     "Schema",
     "Select",

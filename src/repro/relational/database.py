@@ -42,7 +42,7 @@ class Database:
         grows (``"data"`` for the workload-sized relations)."""
         if name in self._tables or name in self._views:
             raise ValueError(f"relation {name!r} already exists")
-        table = Table(name, Schema(tuple(columns)), list(rows), scale)
+        table = Table.from_rows(name, Schema(tuple(columns)), list(rows), scale)
         self._tables[name] = table
         return table
 

@@ -1,10 +1,22 @@
-"""Plan executor: evaluates logical plans tuple-at-a-time, with costs.
+"""Plan executor: evaluates logical plans on column batches, with costs.
 
-The executor is deliberately a *tuple engine*: every row of every
-intermediate result really exists as a Python tuple and is charged at
-SimSQL's per-tuple rate.  That is the paper's central SimSQL finding —
-"a 1,000 by 1,000 matrix is pushed through the system as a set of one
-million tuples" (Section 10) — so the engine must live it, not model it.
+SimSQL is a tuple engine, and the tracer charges it as one: every row
+of every intermediate result pays SimSQL's per-tuple rate.  That is the
+paper's central SimSQL finding -- "a 1,000 by 1,000 matrix is pushed
+through the system as a set of one million tuples" (Section 10) -- and
+those charges depend only on the cardinalities and sizes of the
+relations, never on how the host computes them.
+
+The host computes them on whole columns (:mod:`repro.relational.table`):
+a projection shares or computes columns, a selection is a boolean mask,
+and joins, aggregations and VG parameter groups factorize their keys
+into integer codes.  Outputs keep the exact row order of a
+tuple-at-a-time evaluation (hash join: probe rows in order, each with
+its build rows in build order; cross join: left-major; group-by: first
+occurrence; VG groups: sorted key), values leave as the same Python
+scalars, and float aggregates fold each group left to right, so every
+cost event and every VG draw is what the tuple engine produces
+(``tests/relational_oracle.py`` keeps that engine as the reference).
 
 Each executed query is also charged as a pipeline of Hadoop MapReduce
 jobs (one per wide operator), with intermediate results written to and
@@ -16,11 +28,14 @@ out-of-core processing instead of failing, reproducing the paper's
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro import fastpath
 from repro.cluster.costmodel import combine_scales
 from repro.cluster.events import FIXED, Kind, Site
+from repro.relational.expr import Col
 from repro.relational.plan import (
     Alias,
     Distinct,
@@ -28,19 +43,23 @@ from repro.relational.plan import (
     Join,
     Plan,
     Project,
+    RenameColumns,
     Scan,
     Select,
     Union,
     VGOp,
 )
 from repro.relational.schema import Schema
-from repro.relational.table import Table
+from repro.relational.table import EXACT_INT, Table, as_column, column_values, take
 
 #: Combining (a Hadoop combiner / pre-aggregation) is considered
 #: effective when the observed group count is at most this fraction of
 #: the input cardinality; the group count is then treated as
 #: asymptotically fixed unless the plan says otherwise.
 COMBINE_EFFECTIVE_FRACTION = 0.5
+
+#: Row pairs a cross join with a residual predicate evaluates at once.
+CROSS_CHUNK = 1 << 20
 
 
 class Executor:
@@ -54,19 +73,8 @@ class Executor:
     def execute(self, plan: Plan) -> Table:
         handler = self._HANDLERS.get(type(plan))
         if handler is None:
-            if type(plan).__name__ == "RenameColumns":
-                return self._rename_columns(plan)
             raise TypeError(f"no executor for plan node {type(plan).__name__}")
         return handler(self, plan)
-
-    def _rename_columns(self, plan) -> Table:
-        child = self.execute(plan.child)
-        if len(plan.columns) != len(child.schema):
-            raise ValueError(
-                f"declared {len(plan.columns)} columns but the query "
-                f"produces {len(child.schema)}"
-            )
-        return Table("", Schema(plan.columns), child.rows, child.scale)
 
     def count_jobs(self, plan: Plan) -> int:
         """Wide operators in the plan — each costs one MapReduce job
@@ -83,29 +91,43 @@ class Executor:
             label=f"scan:{plan.table}",
         )
         self._touch(len(table), table.scale, label=f"scan:{plan.table}")
-        return Table("", table.schema, list(table.rows), table.scale)
+        return table.view(table.schema)
 
     def _alias(self, plan: Alias) -> Table:
         child = self.execute(plan.child)
-        schema = Schema(tuple(f"{plan.alias}.{c}" for c in child.schema.columns))
-        return Table("", schema, child.rows, child.scale)
+        return child.view(Schema(tuple(f"{plan.alias}.{c}" for c in child.schema.columns)))
+
+    def _rename_columns(self, plan: RenameColumns) -> Table:
+        child = self.execute(plan.child)
+        if len(plan.columns) != len(child.schema):
+            raise ValueError(
+                f"declared {len(plan.columns)} columns but the query "
+                f"produces {len(child.schema)}"
+            )
+        return child.view(Schema(plan.columns))
 
     def _select(self, plan: Select) -> Table:
         child = self.execute(plan.child)
-        predicate = plan.predicate.bind(child.schema)
+        predicate = plan.predicate.compile(child.schema)
         self._touch(len(child), child.scale, label="select")
-        rows = [row for row in child.rows if predicate(row)]
-        return Table("", child.schema, rows, child.scale)
+        keep = np.flatnonzero(_truth(predicate(child.columns, len(child)), len(child)))
+        if len(keep) == len(child):
+            return child
+        return Table("", child.schema, [take(c, keep) for c in child.columns], child.scale)
 
     def _project(self, plan: Project) -> Table:
         # Projection is fused into the operator that consumes it (it
         # never runs as its own pass in an MR pipeline), so it carries
-        # no per-tuple charge of its own.
+        # no per-tuple charge of its own.  A plain column pick shares
+        # the child's column.
         child = self.execute(plan.child)
         names = [name for name, _ in plan.outputs]
-        fns = [expr.bind(child.schema) for _, expr in plan.outputs]
-        rows = [tuple(fn(row) for fn in fns) for row in child.rows]
-        return Table("", Schema(names), rows, child.scale)
+        fns = [expr.compile(child.schema) for _, expr in plan.outputs]
+        columns = []
+        for (_, expr), fn in zip(plan.outputs, fns):
+            vector = fn(child.columns, len(child))
+            columns.append(vector if isinstance(expr, Col) else as_column(vector))
+        return Table("", Schema(names), columns, child.scale)
 
     def _union(self, plan: Union) -> Table:
         children = [self.execute(p) for p in plan.inputs]
@@ -115,17 +137,21 @@ class Executor:
         for child in children[1:]:
             if len(child.schema) != len(schema):
                 raise ValueError("union inputs must have equal arity")
-        rows = [row for child in children for row in child.rows]
-        scales = {c.scale for c in children}
-        scale = scales.pop() if len(scales) == 1 else max(scales - {FIXED})
-        return Table("", schema, rows, scale)
+        # Only one growing scale may carry the union's cardinality; two
+        # (say data and vocab) have no single group to charge.
+        varying = {c.scale for c in children} - {FIXED}
+        if len(varying) > 1:
+            raise ValueError(f"union inputs carry different scales {sorted(varying)}")
+        columns = [_concat([c.columns[i] for c in children if len(c)])
+                   for i in range(len(schema))]
+        return Table("", schema, columns, varying.pop() if varying else FIXED)
 
     def _distinct(self, plan: Distinct) -> Table:
         child = self.execute(plan.child)
         self._touch(len(child), child.scale, label="distinct")
-        seen = dict.fromkeys(child.rows)
-        self._shuffle_aggregated(len(child), len(seen), child, None, label="distinct")
-        return Table("", child.schema, list(seen), child.scale)
+        _, firsts = _factorize(child.columns, len(child))
+        self._shuffle_aggregated(len(child), len(firsts), child, None, label="distinct")
+        return Table("", child.schema, [take(c, firsts) for c in child.columns], child.scale)
 
     # -- joins ----------------------------------------------------------
 
@@ -136,13 +162,25 @@ class Executor:
         right = self.execute(plan.right)
         out_schema = left.schema.concat(right.schema)
         if plan.strategy == "hash":
-            rows = self._hash_join(plan, left, right, out_schema)
+            candidates = [self._hash_join(plan, left, right)]
         else:
-            rows = self._cross_join(plan, left, right, out_schema)
+            candidates = self._cross_join(left, right)
+        residual = plan.residual.compile(out_schema) if plan.residual is not None else None
+        kept_l, kept_r = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        for l_idx, r_idx in candidates:
+            if residual is not None:
+                keep = _truth(residual(_Joined(left, right, l_idx, r_idx), len(l_idx)),
+                              len(l_idx))
+                l_idx, r_idx = l_idx[keep], r_idx[keep]
+            kept_l.append(l_idx)
+            kept_r.append(r_idx)
+        l_idx, r_idx = np.concatenate(kept_l), np.concatenate(kept_r)
+        columns = ([take(c, l_idx) for c in left.columns]
+                   + [take(c, r_idx) for c in right.columns])
         scale = plan.out_scale or self._join_out_scale(left, right)
-        return Table("", out_schema, rows, scale)
+        return Table("", out_schema, columns, scale)
 
-    def _hash_join(self, plan: Join, left: Table, right: Table, out_schema: Schema) -> list[tuple]:
+    def _hash_join(self, plan: Join, left: Table, right: Table):
         # A model-sized (FIXED) side is broadcast instead of repartitioned
         # — the map-side join any MR compiler performs for small tables.
         fixed_sides = [t for t in (left, right) if t.scale == FIXED]
@@ -162,39 +200,18 @@ class Executor:
             bytes=left.estimated_bytes(), objects=len(left),
             scale=left.scale, site=Site.CLUSTER, spillable=True, label="join:build",
         )
-        l_idx, r_idx = self._resolve_keys(plan, left.schema, right.schema)
-        residual = plan.residual.bind(out_schema) if plan.residual is not None else None
-        out = []
-        if fastpath.enabled() and len(l_idx) == 1:
-            # Single equi-key: index the build side on the bare column
-            # value, skipping one tuple allocation per row on both sides.
-            # Tuple keys delegate hashing/equality to their elements, so
-            # the grouping (and the joined output) is identical.
-            li, ri = l_idx[0], r_idx[0]
-            build: dict = {}
-            for row in left.rows:
-                build.setdefault(row[li], []).append(row)
-            for rrow in right.rows:
-                for lrow in build.get(rrow[ri], ()):
-                    joined = lrow + rrow
-                    if residual is None or residual(joined):
-                        out.append(joined)
-        else:
-            build = {}
-            for row in left.rows:
-                build.setdefault(tuple(row[i] for i in l_idx), []).append(row)
-            for rrow in right.rows:
-                for lrow in build.get(tuple(rrow[i] for i in r_idx), ()):
-                    joined = lrow + rrow
-                    if residual is None or residual(joined):
-                        out.append(joined)
+        l_keys, r_keys = self._resolve_keys(plan, left.schema, right.schema)
+        pairs = _equi_join_pairs([left.columns[i] for i in l_keys],
+                                 [right.columns[i] for i in r_keys], len(left), len(right))
         # Build and probe are linear per side; output tuples are
         # pipelined into the parent operator (charged there).
         self._touch(len(left), left.scale, label="join:build-touch")
         self._touch(len(right), right.scale, label="join:probe")
-        return out
+        return pairs
 
-    def _cross_join(self, plan: Join, left: Table, right: Table, out_schema: Schema) -> list[tuple]:
+    def _cross_join(self, left: Table, right: Table):
+        """Every (left, right) row pair, left-major, in chunks of at most
+        :data:`CROSS_CHUNK` pairs (a residual filters each chunk)."""
         # The quirk path: broadcast one side, nested-loop over the product.
         smaller = left if len(left) <= len(right) else right
         self._tracer.emit(
@@ -203,14 +220,11 @@ class Executor:
         )
         pairs = len(left) * len(right)
         self._touch(pairs, combine_scales(left.scale, right.scale), label="join:cross")
-        residual = plan.residual.bind(out_schema) if plan.residual is not None else None
-        out = []
-        for lrow in left.rows:
-            for rrow in right.rows:
-                joined = lrow + rrow
-                if residual is None or residual(joined):
-                    out.append(joined)
-        return out
+        n_left, n_right = len(left), len(right)
+        step = max(1, CROSS_CHUNK // max(1, n_right))
+        return ((np.repeat(np.arange(start, min(start + step, n_left)), n_right),
+                 np.tile(np.arange(n_right), min(step, n_left - start)))
+                for start in range(0, n_left, step))
 
     @staticmethod
     def _join_out_scale(left: Table, right: Table) -> str:
@@ -238,99 +252,25 @@ class Executor:
 
     def _group_by(self, plan: GroupBy) -> Table:
         child = self.execute(plan.child)
-        key_idx = [child.schema.resolve(k) for k in plan.keys]
+        keys = [child.columns[child.schema.resolve(k)] for k in plan.keys]
         agg_fns = []
         for name, kind, expr in plan.aggs:
             if kind not in ("sum", "count", "avg", "min", "max"):
                 raise ValueError(f"unknown aggregate {kind!r} for {name!r}")
-            agg_fns.append((name, kind, expr.bind(child.schema) if expr is not None else None))
+            agg_fns.append((kind, expr.compile(child.schema) if expr is not None else None))
 
         self._touch(len(child), child.scale, label="group:map")
 
-        groups = None
-        if fastpath.enabled() and child.rows:
-            groups = self._group_by_columnar(child.rows, key_idx, agg_fns)
-        if groups is None:
-            groups = {}
-            for row in child.rows:
-                key = tuple(row[i] for i in key_idx)
-                state = groups.get(key)
-                if state is None:
-                    state = [_agg_init(kind) for _, kind, _ in plan.aggs]
-                    groups[key] = state
-                for slot, (_, kind, fn) in enumerate(agg_fns):
-                    _agg_step(state, slot, kind, fn, row)
+        codes, firsts = _factorize(keys, len(child))
+        columns = [take(c, firsts) for c in keys]
+        for kind, fn in agg_fns:
+            values = None if kind == "count" else fn(child.columns, len(child))
+            columns.append(as_column(_aggregate(kind, values, codes, firsts)))
 
-        out_scale = self._shuffle_aggregated(len(child), len(groups), child, plan.out_scale,
+        out_scale = self._shuffle_aggregated(len(child), len(firsts), child, plan.out_scale,
                                              label="group:shuffle")
-        rows = [key + tuple(_agg_final(state[i], kind) for i, (_, kind, _) in enumerate(agg_fns))
-                for key, state in groups.items()]
         schema = Schema(tuple(plan.keys) + tuple(name for name, _, _ in plan.aggs))
-        return Table("", schema, rows, out_scale)
-
-    def _group_by_columnar(self, rows: list, key_idx: list,
-                           agg_fns: list) -> dict | None:
-        """Columnar aggregation; equals the per-row ``_agg_step`` fold.
-
-        One pass factorizes rows into group ids (first-occurrence order,
-        like dict insertion), then each aggregate runs as a NumPy
-        scatter-reduce.  ``np.add.at`` / ``np.minimum.at`` apply updates
-        in index order, i.e. the same left fold as the scalar code; sums
-        seed with each group's first value (the scalar fold starts from
-        it, not from 0.0) while averages seed with 0.0 (the scalar state
-        does).  Returns ``None`` to fall back on non-numeric columns,
-        NaNs, or signed zeros, where the scalar fold's tie-breaking and
-        type promotion could differ.
-        """
-        gid_of: dict[tuple, int] = {}
-        gids = []
-        first_rows = []
-        for pos, row in enumerate(rows):
-            key = tuple(row[i] for i in key_idx)
-            gid = gid_of.get(key)
-            if gid is None:
-                gid = len(gid_of)
-                gid_of[key] = gid
-                first_rows.append(pos)
-            gids.append(gid)
-        n_groups = len(gid_of)
-        gid_arr = np.asarray(gids)
-        first_arr = np.asarray(first_rows)
-        rest = np.ones(len(rows), dtype=bool)
-        rest[first_arr] = False
-
-        columns = []
-        for _, kind, fn in agg_fns:
-            if kind == "count":
-                columns.append(np.bincount(gid_arr, minlength=n_groups).tolist())
-                continue
-            values = np.asarray([fn(row) for row in rows])
-            if values.ndim != 1 or values.dtype.kind not in "iuf":
-                return None
-            if values.dtype.kind == "f":
-                if np.isnan(values).any():
-                    return None
-                if kind in ("min", "max") and np.any((values == 0)
-                                                     & np.signbit(values)):
-                    return None
-            if kind == "sum":
-                out = values[first_arr].astype(values.dtype, copy=True)
-                np.add.at(out, gid_arr[rest], values[rest])
-            elif kind == "avg":
-                total = np.zeros(n_groups)
-                np.add.at(total, gid_arr, values)
-                counts = np.bincount(gid_arr, minlength=n_groups)
-                columns.append(list(zip(total.tolist(), counts.tolist())))
-                continue
-            elif kind == "min":
-                out = values[first_arr].astype(values.dtype, copy=True)
-                np.minimum.at(out, gid_arr[rest], values[rest])
-            else:  # max
-                out = values[first_arr].astype(values.dtype, copy=True)
-                np.maximum.at(out, gid_arr[rest], values[rest])
-            columns.append(out.tolist())
-        return {key: [column[gid] for column in columns]
-                for key, gid in gid_of.items()}
+        return Table("", schema, columns, out_scale)
 
     def _shuffle_aggregated(self, n_in: int, n_groups: int, child: Table,
                             out_scale: str | None, label: str) -> str:
@@ -417,10 +357,18 @@ class Executor:
         # re-enters the relational engine (the paper's Section 7.6 cost).
         self._touch(len(out_rows), out_scale, label=f"vg:{vg.name}:emit")
         schema = Schema(key_cols + tuple(vg.output_columns))
-        return Table("", schema, out_rows, out_scale)
+        try:
+            return Table.from_rows("", schema, out_rows, out_scale)
+        except ValueError as err:
+            raise ValueError(f"VG function {vg.name!r} (output_columns "
+                             f"{tuple(vg.output_columns)}): {err}") from None
 
     def _group_params(self, key: str, params: dict[str, Table]):
-        """Partition parameter tables by ``key``; keyless tables broadcast."""
+        """Partition parameter tables by ``key``; keyless tables broadcast.
+
+        Groups come out in sorted key order; each group's rows keep
+        their table order (a stable sort on the key codes).
+        """
         keyed = {name: t for name, t in params.items() if key in t.schema}
         if not keyed:
             raise KeyError(f"no VG parameter table carries group key {key!r}")
@@ -428,10 +376,19 @@ class Executor:
         buckets: dict[object, dict[str, list[tuple]]] = {}
         for name, table in keyed.items():
             idx = table.schema.index(key)
-            keep = [i for i in range(len(table.schema)) if i != idx]
-            for row in table.rows:
-                bucket = buckets.setdefault(row[idx], {n: [] for n in keyed})
-                bucket[name].append(tuple(row[i] for i in keep))
+            codes, firsts = _factorize([table.columns[idx]], len(table))
+            order = np.argsort(codes, kind="stable")
+            rest = [column_values(take(c, order))
+                    for i, c in enumerate(table.columns) if i != idx]
+            rows = list(zip(*rest)) if rest else [()] * len(table)
+            ends = np.cumsum(np.bincount(codes, minlength=len(firsts))).tolist()
+            start = 0
+            for value, end in zip(column_values(take(table.columns[idx], firsts)), ends):
+                bucket = buckets.get(value)
+                if bucket is None:
+                    bucket = buckets[value] = {n: [] for n in keyed}
+                bucket[name] = rows[start:end]
+                start = end
         grouped = [
             ((key_value,), {**rows_by_param, **broadcast})
             for key_value, rows_by_param in sorted(buckets.items())
@@ -456,6 +413,7 @@ class Executor:
 Executor._HANDLERS = {
     Scan: Executor._scan,
     Alias: Executor._alias,
+    RenameColumns: Executor._rename_columns,
     Select: Executor._select,
     Project: Executor._project,
     Union: Executor._union,
@@ -466,35 +424,161 @@ Executor._HANDLERS = {
 }
 
 
-def _agg_init(kind: str):
+# -- column kernels ------------------------------------------------------
+
+
+def _factorize(columns: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group ``n`` rows by the values of ``columns``.
+
+    Returns each row's group code and each group's first row; codes
+    number the groups in order of first occurrence, as a dict keyed on
+    the row's key tuple would insert them.  Array columns group by
+    value (no NaN, so that is dict equality); object columns go through
+    a dict, keeping Python's equality and identity rules exactly.
+    """
+    if not columns:  # a global aggregate: one group, if any rows
+        return np.zeros(n, dtype=np.intp), np.zeros(min(n, 1), dtype=np.intp)
+    codes, firsts = _codes(columns[0])
+    for column in columns[1:]:
+        more, more_firsts = _codes(column)
+        codes, firsts = _codes(codes * len(more_firsts) + more)
+    return codes, firsts
+
+
+def _codes(column) -> tuple[np.ndarray, np.ndarray]:
+    if not isinstance(column, np.ndarray):
+        column = _key_image(column)
+    _, first, inverse = np.unique(column, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
+
+
+def _key_image(values: list) -> np.ndarray:
+    """An array whose elements are equal exactly where the objects are.
+
+    Ints mixed with floats (a union of an int and a float column) map
+    to float64, exact below 2**53 and with no NaN; anything else is
+    numbered through a dict, i.e. by Python's own equality.
+    """
+    if values and set(map(type, values)) <= {int, float}:
+        try:
+            image = np.array(values, dtype=np.float64)
+        except OverflowError:
+            image = None
+        if image is not None and np.abs(image).max() < EXACT_INT:  # NaN fails too
+            return image
+    code_of: dict = {}
+    return np.fromiter((code_of.setdefault(v, len(code_of)) for v in values),
+                       dtype=np.intp, count=len(values))
+
+
+def _equi_join_pairs(l_keys: list, r_keys: list, n_left: int, n_right: int):
+    """(left row, right row) index pairs whose keys are equal: probe
+    (right) rows in order, each with its left matches in build order."""
+    keys = [np.concatenate([lc, rc]) if isinstance(lc, np.ndarray) and isinstance(rc, np.ndarray)
+            else column_values(lc) + column_values(rc) for lc, rc in zip(l_keys, r_keys)]
+    codes, firsts = _factorize(keys, n_left + n_right)
+    l_codes, r_codes = codes[:n_left], codes[n_left:]
+    build = np.argsort(l_codes, kind="stable")
+    counts = np.bincount(l_codes, minlength=len(firsts))
+    starts = np.cumsum(counts) - counts
+    matches = counts[r_codes]
+    r_idx = np.repeat(np.arange(n_right), matches)
+    offsets = np.arange(len(r_idx)) - np.repeat(np.cumsum(matches) - matches, matches)
+    return build[np.repeat(starts[r_codes], matches) + offsets], r_idx
+
+
+class _Joined:
+    """Column access to the joined rows ``left[l_idx] + right[r_idx]``;
+    a residual predicate gathers only the columns it reads."""
+
+    def __init__(self, left: Table, right: Table, l_idx, r_idx) -> None:
+        self._sources = ([(c, l_idx) for c in left.columns]
+                         + [(c, r_idx) for c in right.columns])
+        self._gathered: dict[int, object] = {}
+
+    def __getitem__(self, i: int):
+        if i not in self._gathered:
+            column, index = self._sources[i]
+            self._gathered[i] = take(column, index)
+        return self._gathered[i]
+
+
+def _truth(vector, n: int) -> np.ndarray:
+    """Row mask of a predicate's vector (Python truthiness)."""
+    if isinstance(vector, np.ndarray):
+        return vector if vector.dtype.kind == "b" else vector != 0
+    return np.fromiter(map(bool, vector), dtype=bool, count=n)
+
+
+def _concat(parts: list):
+    """One column from same-position columns of union inputs."""
+    if not parts:
+        return []
+    if all(isinstance(p, np.ndarray) and p.dtype == parts[0].dtype for p in parts):
+        return np.concatenate(parts)
+    return list(chain.from_iterable(map(column_values, parts)))
+
+
+def _aggregate(kind: str, values, codes: np.ndarray, firsts: np.ndarray):
+    """One aggregate per group, folding each group's values in row order.
+
+    NumPy's ``ufunc.at`` applies its updates in index order, i.e. the
+    same left fold as the row-at-a-time engine: sums seed with each
+    group's first value (the fold starts from it, not from 0.0), while
+    averages seed with 0.0 (the fold's state does).  Object values,
+    NaN, signed zeros under min/max (where the fold's tie-breaking
+    decides), and integer sums that could leave the exact range fold in
+    Python instead.
+    """
+    n_groups = len(firsts)
     if kind == "count":
-        return 0
+        return np.bincount(codes, minlength=n_groups)
+    if not _foldable(kind, values):
+        return _fold(kind, column_values(values), codes.tolist(), n_groups)
     if kind == "avg":
-        return (0.0, 0)
-    return None
+        total = np.zeros(n_groups)
+        np.add.at(total, codes, values)
+        return total / np.bincount(codes, minlength=n_groups)
+    out = values[firsts]
+    rest = np.ones(len(values), dtype=bool)
+    rest[firsts] = False
+    ufunc = {"sum": np.add, "min": np.minimum, "max": np.maximum}[kind]
+    ufunc.at(out, codes[rest], values[rest])
+    return out
 
 
-def _agg_step(state: list, slot: int, kind: str, fn, row: tuple) -> None:
-    if kind == "count":
-        state[slot] += 1
-        return
-    value = fn(row)
-    current = state[slot]
-    if kind == "sum":
-        state[slot] = value if current is None else current + value
-    elif kind == "avg":
-        total, count = current
-        state[slot] = (total + value, count + 1)
-    elif kind == "min":
-        state[slot] = value if current is None or value < current else current
-    elif kind == "max":
-        state[slot] = value if current is None or value > current else current
+def _foldable(kind: str, values) -> bool:
+    if not isinstance(values, np.ndarray) or values.dtype.kind not in "if" or not len(values):
+        return False
+    if values.dtype.kind == "i":
+        bound = max(-int(values.min()), int(values.max()))
+        return kind != "sum" or bound * len(values) < EXACT_INT
+    if np.isnan(values).any():
+        return False
+    return kind not in ("min", "max") or not np.any((values == 0) & np.signbit(values))
 
 
-def _agg_final(state, kind: str):
+def _fold(kind: str, values: list, codes: list, n_groups: int) -> list:
+    """The row-at-a-time aggregate fold, for values NumPy cannot fold
+    exactly."""
     if kind == "avg":
-        total, count = state
-        if count == 0:
-            raise ValueError("avg over an empty group")
-        return total / count
+        totals, counts = [0.0] * n_groups, [0] * n_groups
+        for g, value in zip(codes, values):
+            totals[g] = totals[g] + value
+            counts[g] += 1
+        return [total / count for total, count in zip(totals, counts)]
+    state: list = [None] * n_groups
+    for g, value in zip(codes, values):
+        current = state[g]
+        if current is None:
+            state[g] = value
+        elif kind == "sum":
+            state[g] = current + value
+        elif kind == "min":
+            state[g] = value if value < current else current
+        else:  # max
+            state[g] = value if value > current else current
     return state

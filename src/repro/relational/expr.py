@@ -6,6 +6,19 @@ overloading, then *bound* to a schema to produce a fast row-callable::
     predicate = (col("clus_id") == lit(3)) & (col("prob") > lit(0.1))
     fn = predicate.bind(schema)      # tuple -> bool
 
+The executor instead *compiles* an expression against a schema into a
+function over whole columns (see :mod:`repro.relational.table`)::
+
+    vector = predicate.compile(schema)(table.columns, len(table))
+
+A compiled node hands exact int64/float64 operands to NumPy for
+``+ - * /``, comparisons, ``AND`` and ``OR``; everything else (object
+columns, integer results that could leave the exact range, division by
+zero, the ``Func`` nodes) applies the node's own Python callable element
+by element, so each value equals what ``bind`` computes for its row.
+NumPy's ``log``/``exp`` are not bit-identical to ``math``'s, and
+``math`` raises on a domain error where NumPy returns NaN.
+
 The structure is inspectable, which the optimizer uses to recognize
 equi-join keys — and, faithfully to the paper (Section 7.2), to *fail*
 to recognize ``t1.curPos == t2.curPos + 1`` as anything better than a
@@ -15,15 +28,26 @@ cross product.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable
 
+import numpy as np
+
 from repro.relational.schema import Schema
+from repro.relational.table import EXACT_INT, column_values
+
+#: A compiled expression: ``(columns, row count) -> vector``, the vector
+#: an int64/float64/bool array or a list of Python values.
+Compiled = Callable[[list, int], "np.ndarray | list"]
 
 
 class Expr:
     """Base expression node."""
 
     def bind(self, schema: Schema) -> Callable[[tuple], object]:
+        raise NotImplementedError
+
+    def compile(self, schema: Schema) -> Compiled:
         raise NotImplementedError
 
     # Arithmetic -------------------------------------------------------
@@ -98,6 +122,10 @@ class Col(Expr):
         idx = schema.resolve(self.name)
         return lambda row: row[idx]
 
+    def compile(self, schema: Schema) -> Compiled:
+        idx = schema.resolve(self.name)
+        return lambda columns, n: columns[idx]
+
     def __repr__(self) -> str:
         return f"col({self.name!r})"
 
@@ -111,6 +139,14 @@ class Lit(Expr):
     def bind(self, schema: Schema) -> Callable[[tuple], object]:
         value = self.value
         return lambda row: value
+
+    def compile(self, schema: Schema) -> Compiled:
+        value = self.value
+        if type(value) is int and -EXACT_INT < value < EXACT_INT:
+            return lambda columns, n: np.full(n, value, dtype=np.int64)
+        if type(value) is float and not math.isnan(value):
+            return lambda columns, n: np.full(n, value)
+        return lambda columns, n: [value] * n
 
     def __repr__(self) -> str:
         return f"lit({self.value!r})"
@@ -129,6 +165,21 @@ class BinOp(Expr):
         lf, rf, fn = self.left.bind(schema), self.right.bind(schema), self.fn
         return lambda row: fn(lf(row), rf(row))
 
+    def compile(self, schema: Schema) -> Compiled:
+        lf, rf, fn = self.left.compile(schema), self.right.compile(schema), self.fn
+        vector_op, kinds = _VECTOR_OPS.get(self.symbol, (None, ""))
+
+        def run(columns, n):
+            a, b = lf(columns, n), rf(columns, n)
+            if (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                    and a.dtype.kind in kinds and b.dtype.kind in kinds):
+                with np.errstate(all="ignore"):
+                    out = vector_op(a, b)
+                if out is not None:
+                    return out
+            return list(map(fn, column_values(a), column_values(b)))
+        return run
+
     def __repr__(self) -> str:
         return f"({self.left!r} {self.symbol} {self.right!r})"
 
@@ -146,8 +197,52 @@ class Func(Expr):
         fn = self.fn
         return lambda row: fn(*(b(row) for b in bound))
 
+    def compile(self, schema: Schema) -> Compiled:
+        args = [a.compile(schema) for a in self.args]
+        fn = self.fn
+        return lambda columns, n: list(map(fn, *(column_values(a(columns, n)) for a in args)))
+
     def __repr__(self) -> str:
         return f"{self.name}({', '.join(map(repr, self.args))})"
+
+
+def _int_bound(vector: np.ndarray) -> int:
+    return max(-int(vector.min()), int(vector.max())) if len(vector) else 0
+
+
+def _exact(op, bound):
+    """``op``, declining int64 operands whose result could pass 2**53
+    (``bound`` combines the operands' largest magnitudes)."""
+    def run(a, b):
+        if (a.dtype.kind == b.dtype.kind == "i"
+                and bound(_int_bound(a), _int_bound(b)) >= EXACT_INT):
+            return None
+        return op(a, b)
+    return run
+
+
+def _div(a, b):
+    # Python raises ZeroDivisionError; let the element-wise path do so.
+    return a / b if b.all() else None
+
+
+#: symbol -> (vector op returning None to decline, operand dtype kinds).
+#: Arithmetic and comparisons take int64/float64 only (NumPy adds bools
+#: as logical OR); AND/OR take the truth of any numeric or bool vector.
+_VECTOR_OPS = {
+    "+": (_exact(np.add, operator.add), "if"),
+    "-": (_exact(np.subtract, operator.add), "if"),
+    "*": (_exact(np.multiply, operator.mul), "if"),
+    "/": (_div, "if"),
+    "=": (np.equal, "if"),
+    "<>": (np.not_equal, "if"),
+    "<": (np.less, "if"),
+    "<=": (np.less_equal, "if"),
+    ">": (np.greater, "if"),
+    ">=": (np.greater_equal, "if"),
+    "AND": (np.logical_and, "bif"),
+    "OR": (np.logical_or, "bif"),
+}
 
 
 def col(name: str) -> Col:

@@ -20,6 +20,7 @@ from repro.relational.plan import (
     Join,
     Plan,
     Project,
+    RenameColumns,
     Scan,
     Select,
     Union,
@@ -53,9 +54,7 @@ def optimize(plan: Plan) -> Plan:
         )
     if isinstance(plan, Join):
         return _plan_join(plan)
-    if type(plan).__name__ == "RenameColumns":
-        from repro.relational.sqlparse import RenameColumns
-
+    if isinstance(plan, RenameColumns):
         return RenameColumns(optimize(plan.child), plan.columns)
     raise TypeError(f"unknown plan node {type(plan).__name__}")
 

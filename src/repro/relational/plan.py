@@ -107,6 +107,18 @@ class GroupBy(Plan):
 
 
 @dataclass
+class RenameColumns(Plan):
+    """Positionally rename the child's output columns (the declared
+    column list of ``CREATE VIEW name(a, b, ...)``)."""
+
+    child: Plan
+    columns: tuple[str, ...]
+
+    def children(self) -> tuple[Plan, ...]:
+        return (self.child,)
+
+
+@dataclass
 class Union(Plan):
     """Bag union of same-schema inputs."""
 

@@ -1,4 +1,4 @@
-"""Relational schemas: named, ordered columns over plain-tuple rows."""
+"""Relational schemas: named, ordered columns of a table."""
 
 from __future__ import annotations
 
@@ -9,9 +9,10 @@ from dataclasses import dataclass
 class Schema:
     """Ordered column names of a relation.
 
-    Rows are plain Python tuples positionally aligned with the schema;
-    this keeps the engine honest about SimSQL's tuple-at-a-time nature
-    (a d x d matrix really is d^2 rows of ``(i, j, value)``).
+    A table's columns, and the tuples of its rows, align positionally
+    with the schema.  Relations keep SimSQL's tuple-oriented shape: a
+    d x d matrix really is d^2 rows of ``(i, j, value)``, each charged
+    as a tuple.
     """
 
     columns: tuple[str, ...]

@@ -41,7 +41,7 @@ import re
 from dataclasses import dataclass
 
 from repro.relational.expr import Expr, absval, col, exp as exp_fn, lit, log as log_fn, sqrt
-from repro.relational.plan import GroupBy, Join, Plan, Project, Scan, Select, VGOp
+from repro.relational.plan import GroupBy, Join, Plan, Project, RenameColumns, Scan, Select, VGOp
 
 
 class SQLSyntaxError(ValueError):
@@ -430,14 +430,3 @@ def execute_statement(db, sql: str, vg_registry: dict | None = None):
     plan = parser.parse_query()
     return db.query(plan)
 
-
-@dataclass
-class RenameColumns(Plan):
-    """Positionally rename the child's output columns (the declared
-    column list of ``CREATE VIEW name(a, b, ...)``)."""
-
-    child: Plan
-    columns: tuple[str, ...]
-
-    def children(self) -> tuple[Plan, ...]:
-        return (self.child,)

@@ -196,3 +196,30 @@ def test_simsql_lda_variants_agree(lda_corpus):
         doc.iterate(i)
         sv.iterate(i)
     np.testing.assert_allclose(doc.current_phi(), sv.current_phi())
+
+
+def test_simsql_lda_word_cells_get_their_documents_theta(lda_corpus, monkeypatch):
+    """Each word cell's theta parameter holds every topic of its
+    document once (z's own ``topic`` column must not shadow theta's)."""
+    from repro.impls.simsql import vgs
+
+    seen = []
+    original = vgs.LDAWordVG.invoke_batch
+
+    def spy(self, rng, grouped):
+        seen.extend(sorted(int(t) for t, _ in params["theta"]) for _, params in grouped)
+        return original(self, rng, grouped)
+
+    monkeypatch.setattr(vgs.LDAWordVG, "invoke_batch", spy)
+    impl = SimSQLLDAWord(lda_corpus.documents, VOCAB, SIZE, make_rng(8), CLUSTER)
+    impl.initialize()
+    impl.iterate(0)
+    assert seen and all(topics == list(range(SIZE)) for topics in seen)
+
+
+def test_rows_to_vector_rejects_uncovered_indices():
+    from repro.impls.simsql.vgs import _rows_to_vector
+
+    assert _rows_to_vector([(1, 0.5), (0, 0.25)]).tolist() == [0.25, 0.5]
+    with pytest.raises(ValueError, match="do not cover"):
+        _rows_to_vector([(1, 0.5), (1, 0.25)])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterSpec
+from repro.cluster import FIXED, ClusterSpec
 from repro.relational import (
     Alias,
     Database,
@@ -15,11 +15,19 @@ from repro.relational import (
     Scan,
     Schema,
     Select,
+    Table,
     Union,
     col,
     lit,
     sqrt,
 )
+
+
+def append_row(db, name, row):
+    """Replace base table ``name`` with a copy holding one more row
+    (tables are immutable)."""
+    old = db.table(name)
+    db.store(name, Table.from_rows(name, old.schema, old.rows + [row], old.scale))
 
 
 @pytest.fixture
@@ -111,6 +119,20 @@ class TestBasicOperators:
         with pytest.raises(ValueError):
             db.query(Union([Scan("points"), Scan("pairs")]))
 
+    def test_union_scale_is_the_one_growing_input_scale(self, db):
+        db.create_table("d", ["v"], [(1.0,)], scale="data")
+        db.create_table("f", ["v"], [(2.0,)])
+        assert db.query(Union([Scan("d"), Scan("f")])).scale == "data"
+        assert db.query(Union([Scan("f"), Scan("f")])).scale == FIXED
+
+    def test_union_of_two_growing_scales_raises(self, db):
+        """No single scale group can carry the charge of data + vocab rows."""
+        db.create_table("d", ["v"], [(1.0,)], scale="data")
+        db.create_table("w", ["v"], [(2.0,)], scale="vocab")
+        db.create_table("f", ["v"], [(3.0,)])
+        with pytest.raises(ValueError, match=r"\['data', 'vocab'\]"):
+            db.query(Union([Scan("d"), Scan("w"), Scan("f")]))
+
     def test_distinct(self, db):
         plan = Distinct(Project(Scan("pairs"), [("k", col("k"))]))
         assert sorted(db.query(plan).rows) == [(0,), (1,), (2,)]
@@ -192,12 +214,12 @@ class TestViews:
         db.create_view("big", Select(Scan("points"), col("x") > 1.0))
         assert len(db.query(Scan("big"))) == 2
         # Base-table change is visible through the virtual view.
-        db.table("points").rows.append((3, 9.0, 9.0))
+        append_row(db, "points", (3, 9.0, 9.0))
         assert len(db.query(Scan("big"))) == 3
 
     def test_materialized_view_frozen(self, db):
         db.create_view("snap", Select(Scan("points"), col("x") > 1.0), materialized=True)
-        db.table("points").rows.append((3, 9.0, 9.0))
+        append_row(db, "points", (3, 9.0, 9.0))
         assert len(db.query(Scan("snap"))) == 2
 
     def test_duplicate_name_rejected(self, db):

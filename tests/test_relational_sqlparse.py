@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterSpec, Tracer
-from repro.relational import Database, DirichletVG, InvGaussianVG, optimize
+from repro.relational import Database, DirichletVG, InvGaussianVG, Table, optimize
 from repro.relational.plan import GroupBy, Join, Project, Scan, Select, VGOp
 from repro.relational.sqlparse import (
     SQLSyntaxError,
@@ -135,7 +135,9 @@ class TestExecution:
         stored = db.table("big")
         assert stored.schema.columns == ("data_id",)
         # A later change to data does not affect the materialized table.
-        db.table("data").rows.append((9, 0, 100.0))
+        data = db.table("data")
+        db.store("data", Table.from_rows("data", data.schema,
+                                         data.rows + [(9, 0, 100.0)], data.scale))
         assert len(db.table("big")) == len(stored)
 
     def test_create_view_column_rename(self, db):

@@ -141,6 +141,24 @@ class TestVGFunctions:
         with pytest.raises(KeyError):
             db.query(VGOp(InvWishartVG(), {"df": Scan("x")}))
 
+    def test_wrong_width_output_names_the_vg(self, db):
+        """A VG function whose rows do not fit its declared output
+        columns is named in the error, with those columns."""
+        from repro.relational import VGFunction
+
+        class WideVG(VGFunction):
+            name = "Wide"
+            output_columns = ("a", "b")
+
+            def invoke(self, rng, params):
+                return [(1.0, 2.0), (1.0, 2.0, 3.0)]
+
+        db.create_table("keyed", ["g", "v"], [(0, 1.0), (1, 3.0)], scale=DATA)
+        for group_key in (None, "g"):
+            plan = VGOp(WideVG(), {"p": Scan("keyed")}, group_key=group_key)
+            with pytest.raises(ValueError, match=r"VG function 'Wide'.*\('a', 'b'\)"):
+                db.query(plan)
+
 
 class TestMarkovChain:
     def _chain(self, db):
